@@ -1,6 +1,7 @@
 #include "runtime/config.hpp"
 
 #include "common/affinity.hpp"
+#include "common/check.hpp"
 #include "common/env.hpp"
 
 namespace smpss {
@@ -48,8 +49,6 @@ Config Config::from_env() {
   if (auto v = env_int("SMPSS_STATS_PERIOD_MS"); v && *v >= 0)
     c.stats_period_ms = static_cast<unsigned>(*v);
   if (auto v = env_string("SMPSS_STATS_FILE")) c.stats_path = *v;
-  if (auto v = env_int("SMPSS_PROCS"); v && *v > 0)
-    c.procs = static_cast<unsigned>(*v);
   return c;
 }
 
@@ -68,8 +67,7 @@ void Config::normalize() {
   // whole graph; cost estimates of 0 would zero all priorities.
   if (aware_crit_ppm <= 1000000) aware_crit_ppm = 1000001;
   if (aware_cost_ns == 0) aware_cost_ns = 1;
-  if (procs < 1) procs = 1;
-  if (procs > 16) procs = 16;
+  SMPSS_CHECK(procs == 1, "multi-process backend removed");
 }
 
 }  // namespace smpss

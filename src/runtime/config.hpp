@@ -25,8 +25,6 @@
 //   SMPSS_STREAMS           service-mode stream registry capacity
 //   SMPSS_STATS_PERIOD_MS   periodic JSON stats exporter period (0 = off)
 //   SMPSS_STATS_FILE        exporter destination ("" = stderr, appended)
-//   SMPSS_PROCS             worker processes for the pattern drivers'
-//                           multi-process backend (1 = single-process)
 #pragma once
 
 #include <cstddef>
@@ -154,13 +152,10 @@ struct Config {
   /// Exporter destination, opened in append mode. Empty = stderr.
   std::string stats_path;
 
-  /// Worker processes of the multi-process dependency manager
-  /// (ipc/dist_runtime.hpp): the pattern drivers shard the datum space by
-  /// hash across this many rank processes over a shared-memory segment.
-  /// 1 (the default) is the existing single-process runtime, bit-exact —
-  /// a Runtime itself never forks; only the pattern run_pattern() driver
-  /// consults this field and routes to the distributed backend. Clamped to
-  /// [1, 16] by normalize().
+  /// Must stay 1: the multi-process backend is removed. The field is kept
+  /// only because the benchmark harness (perfbench/, which changes only
+  /// together with the benchmark definition) assigns and prints it;
+  /// normalize() rejects any other value.
   unsigned procs = 1;
 
   /// Defaults overridden by SMPSS_* environment variables.

@@ -719,16 +719,6 @@ void Runtime::drain_group_closes() {
   }
 }
 
-bool Runtime::help_one() {
-  const unsigned tid = submitter_tid();
-  if (tid == kForeignTid) return false;
-  if (TaskNode* t = acquire(tid)) {
-    execute_task(t, tid);
-    return true;
-  }
-  return false;
-}
-
 void Runtime::help_once() {
   if (TaskNode* t = acquire(0)) {
     execute_task(t, 0);

@@ -220,16 +220,6 @@ class Runtime {
     wait_on_addr(static_cast<const void*>(ptr));
   }
 
-  /// Execute at most one ready task on the calling thread and return whether
-  /// one ran. Never blocks and never sleeps — this is the cooperative pump
-  /// external wait loops (the multi-process backend's flag/ring waits)
-  /// interleave so a 1-thread configuration keeps making progress while it
-  /// spins on a condition the runtime knows nothing about. Legal from the
-  /// main thread or from inside a task body (same footing as the
-  /// execute-while-waiting loops of barrier()/taskwait()); a thread foreign
-  /// to this runtime gets `false` and must wait some other way.
-  bool help_one();
-
   // --- service mode -------------------------------------------------------------
 
   /// Open a persistent submission stream (see runtime/stream.hpp). Requires

@@ -2,10 +2,7 @@
 // per period (newline-delimited JSON, so `tail -f | jq` just works), plus
 // one final line at shutdown so short runs still export. The exporter is a
 // plain consumer of Runtime::stats(); it owns no counters of its own.
-#include "runtime/stats_export.hpp"
-
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -22,7 +19,7 @@ namespace {
 
 /// write(2) the whole buffer, resuming across EINTR/short writes. The first
 /// write almost always lands the full line in one syscall, which is what
-/// keeps concurrently-appending ranks (O_APPEND) from interleaving bytes.
+/// keeps concurrently-appending exporters (O_APPEND) from interleaving bytes.
 void write_full(int fd, const char* data, std::size_t len) {
   while (len > 0) {
     const ssize_t n = ::write(fd, data, len);
@@ -165,9 +162,8 @@ std::string Runtime::stats_json(double tasks_per_s) const {
 
 void Runtime::stats_exporter_main() {
   // One write(2) per line against an O_APPEND descriptor: the kernel appends
-  // the whole line atomically, so lines from several exporting processes
-  // sharing one file never interleave, and a kill can at worst truncate the
-  // final line (which append_partial_run_marker then repairs).
+  // the whole line atomically, so lines from several exporters sharing one
+  // file never interleave.
   int fd = -1;
   if (!cfg_.stats_path.empty())
     fd = ::open(cfg_.stats_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -198,31 +194,6 @@ void Runtime::stats_exporter_main() {
     if (stop) break;  // the post-stop pass is the final line
   }
   if (own_fd) ::close(fd);
-}
-
-void append_partial_run_marker(const std::string& path, unsigned rank,
-                               int status) {
-  if (path.empty()) return;
-  // O_RDWR, not O_WRONLY: the torn-tail probe pread()s the last byte, which
-  // a write-only descriptor refuses (EBADF) — silently disabling the repair.
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return;
-  // A child killed mid-write leaves a torn last line; terminating it turns
-  // the tail into one unparseable (skipped) line instead of corrupting the
-  // marker that follows.
-  bool torn_tail = false;
-  struct stat st{};
-  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-    char last = 0;
-    torn_tail =
-        ::pread(fd, &last, 1, st.st_size - 1) == 1 && last != '\n';
-  }
-  char buf[160];
-  const int n = std::snprintf(
-      buf, sizeof buf, "%s{\"partial_run\":true,\"rank\":%u,\"status\":%d}\n",
-      torn_tail ? "\n" : "", rank, status);
-  if (n > 0) write_full(fd, buf, static_cast<std::size_t>(n));
-  ::close(fd);
 }
 
 }  // namespace smpss

@@ -28,10 +28,11 @@ TEST(AdmissionFairness, WeightedDeficitRoundRobinDeterministic) {
   tb.weight = 1;
   constexpr int kA = 40, kB = 20;  // 2:1, so both finish together
   std::atomic<int> tokens{0};
+  std::atomic<int> returned{0};  // admit() calls that have come back
   std::mutex order_mu;
   std::vector<char> order;
   auto client = [&](AdmissionTicket& t, char id, int n) {
-    for (int i = 0; i < n; ++i)
+    for (int i = 0; i < n; ++i) {
       adm.admit(t, [&]() -> AdmitProbe {
         // Only the ring head probes (under the admission mutex), so the
         // token take needs no CAS. Record the grant BEFORE decrementing:
@@ -45,6 +46,8 @@ TEST(AdmissionFairness, WeightedDeficitRoundRobinDeterministic) {
         tokens.fetch_sub(1);
         return AdmitProbe::Taken;
       });
+      returned.fetch_add(1);
+    }
   };
   std::thread a(client, std::ref(ta), 'a', kA);
   std::thread b(client, std::ref(tb), 'b', kB);
@@ -63,6 +66,11 @@ TEST(AdmissionFairness, WeightedDeficitRoundRobinDeterministic) {
     tokens.fetch_add(1);
     adm.notify();
     while (tokens.load() != 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    // The probe takes the token before admit() decrements waiters(), so
+    // until the granted client has returned, waiters() still counts it and
+    // the next round could release a slot with only the other client queued.
+    while (returned.load() != granted + 1)
       std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   a.join();

@@ -235,5 +235,11 @@ TEST(RuntimeConfig, NormalizeDerivesFields) {
   EXPECT_EQ(c.task_window_low, 50u);
 }
 
+TEST(RuntimeConfig, NormalizeRejectsMultipleProcesses) {
+  Config c;
+  c.procs = 2;
+  EXPECT_DEATH(c.normalize(), "multi-process backend removed");
+}
+
 }  // namespace
 }  // namespace smpss

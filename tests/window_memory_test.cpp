@@ -32,8 +32,10 @@ TEST(TaskWindow, NestedSubmittersThrottleBestEffort) {
   // In nested mode the window also throttles in-task generators: a parent
   // fanning out far past the window must trigger the drain-ready throttle
   // (never a sleep — see Runtime::submit) and everything still completes.
+  // One thread: the generator's own thread is the only executor, so its
+  // children pile up until the window fills, whatever the host's load.
   Config cfg;
-  cfg.num_threads = 4;
+  cfg.num_threads = 1;
   cfg.task_window = 16;
   cfg.task_window_low = 8;
   cfg.nested_tasks = true;

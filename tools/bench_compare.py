@@ -21,6 +21,9 @@ Usage:
 
 A missing baseline directory or file is not a failure — the first run on a
 fresh cache seeds the baseline instead of gating against nothing.
+A baseline row that the current run no longer produces (its bench or
+whole BENCH_*.json file was deleted) is listed as ``removed`` and counted
+in the summary line; it never fails the gate.
 """
 
 import argparse
@@ -101,10 +104,14 @@ def main():
              "|---|---|---|---|---|"]
     regressions = []
     compared = 0
-    for cur_path in current_files:
-        fname = os.path.basename(cur_path)
+    removed = 0
+    baseline_files = glob.glob(os.path.join(args.baseline, "BENCH_*.json"))
+    fnames = sorted({os.path.basename(p)
+                     for p in current_files + baseline_files})
+    for fname in fnames:
+        cur_path = os.path.join(args.current, fname)
         base_path = os.path.join(args.baseline, fname)
-        current = load_medians(cur_path)
+        current = load_medians(cur_path) if os.path.exists(cur_path) else {}
         baseline = load_medians(base_path) if os.path.exists(base_path) else {}
         for name, (cur, higher) in sorted(current.items()):
             entry = baseline.get(name)
@@ -129,9 +136,13 @@ def main():
                 verdict = "improved"
             lines.append(f"| `{name}` | {fmt(base)} | {fmt(cur)} | "
                          f"{change * 100:+.1f}% | {verdict} |")
+        for name in sorted(baseline.keys() - current.keys()):
+            removed += 1
+            lines.append(f"| `{name}` | {fmt(baseline[name][0])} | — | — | "
+                         "removed |")
 
     title = "## Bench trajectory vs. main baseline"
-    if compared == 0:
+    if compared == 0 and removed == 0:
         title += " (no baseline yet — this run seeds it)"
     table = title + "\n\n" + "\n".join(lines) + "\n"
     print(table)
@@ -146,7 +157,8 @@ def main():
               f"{args.threshold * 100:.0f}%: {worst}", file=sys.stderr)
         return 1
     print("bench-compare: gate passed "
-          f"({compared} benchmark(s) compared against the baseline)")
+          f"({compared} benchmark(s) compared against the baseline, "
+          f"{removed} removed)")
     return 0
 
 

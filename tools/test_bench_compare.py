@@ -4,7 +4,9 @@
 Covers the regression gate's edge cases around the baseline: a missing
 baseline directory seeds instead of failing, a zero or missing baseline
 median (the ``::p99_ns`` hazard) reports "new benchmark" instead of
-crashing the gate, and genuine throughput/tail regressions still fail.
+crashing the gate, a baseline row the current run no longer produces is
+reported "removed" without failing, and genuine throughput/tail
+regressions still fail.
 """
 
 import contextlib
@@ -147,6 +149,24 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("gate passed (1 benchmark(s)", out)
 
+
+    def test_vanished_rows_reported_removed_not_failed(self):
+        # One row dropped from a file that still exists, and a whole file
+        # the current run no longer writes: both are listed and counted,
+        # and neither fails the gate.
+        write_bench(self.base, "BENCH_x.json", [
+            bench_row("BM_A/1", tasks_per_s=1000.0),
+            bench_row("BM_Gone/1", tasks_per_s=1000.0)])
+        write_bench(self.base, "BENCH_old.json", [
+            bench_row("BM_Old/1", tasks_per_s=10.0)])
+        write_bench(self.cur, "BENCH_x.json", [bench_row("BM_A/1",
+                                                         tasks_per_s=1000.0)])
+        code, out = run_gate(self.base, self.cur)
+        self.assertEqual(code, 0)
+        self.assertIn("| `BM_Gone/1` | 1.00k | — | — | removed |", out)
+        self.assertIn("| `BM_Old/1` | 10.00 | — | — | removed |", out)
+        self.assertIn("(1 benchmark(s) compared against the baseline, "
+                      "2 removed)", out)
 
 if __name__ == "__main__":
     unittest.main()
